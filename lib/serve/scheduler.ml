@@ -172,7 +172,7 @@ let rec acquire_prep t (r : resolved) =
           Mutex.unlock t.mutex;
           prep
       | exception e ->
-          (* drop the slot so a pollling worker can retry (and fail the
+          (* drop the slot so a polling worker can retry (and fail the
              same way if the failure is deterministic) *)
           Mutex.lock t.mutex;
           Hashtbl.remove t.preps key;

@@ -7,7 +7,12 @@ type t = {
   name : string;
   description : string;
   program : Pf_isa.Program.t;
-  setup : Pf_isa.Machine.t -> unit; (** data initialisation before running *)
+  setup : Pf_isa.Machine.t -> unit;
+      (** data initialisation before running. It must be re-entrant:
+          {!Suite} shares one built value with every caller and domain,
+          so each call creates its own {!Rng} inside the closure (never
+          at build time) and writes only the machine it is given. Two
+          fresh machines set up by it end in the same state. *)
   fast_forward : int;               (** instructions to skip (program init) *)
   window : int;                     (** default simulation window *)
   result_addr : int;                (** address of the program's 8-byte result

@@ -15,7 +15,7 @@ let find name = List.find (fun w -> w.Workload.name = name) all
 (* Generic suite-wide checks                                           *)
 
 let test_names_unique () =
-  let names = List.map (fun w -> w.Workload.name) all in
+  let names = Suite.names in
   (* 12 SPEC-shaped kernels + 9 registered loop-nest family members *)
   Alcotest.(check int) "twenty-one workloads" 21 (List.length names);
   Alcotest.(check int) "unique names" 21
@@ -27,6 +27,75 @@ let test_names_unique () =
         (Printf.sprintf "spec kernel %s registered" n)
         true (List.mem n names))
     Suite.spec_names
+
+(* ------------------------------------------------------------------ *)
+(* Build once: the suite builds every workload at initialisation and   *)
+(* hands the same value to every caller and domain.                    *)
+
+(* Every suite member's own builder, in suite order. *)
+let builders =
+  [ W_bzip2.workload; W_crafty.workload; W_gap.workload; W_gcc.workload;
+    W_gzip.workload; W_mcf.workload; W_parser.workload; W_perlbmk.workload;
+    W_twolf.workload; W_vortex.workload; W_vpr_place.workload;
+    W_vpr_route.workload ]
+  @ Loopnest.registered
+
+let test_find_shares_one_value () =
+  Alcotest.(check (list string)) "names are the names of all (), in order"
+    (List.map (fun w -> w.Workload.name) (Suite.all ()))
+    Suite.names;
+  List.iter2
+    (fun n w ->
+      let a = Option.get (Suite.find n) and b = Option.get (Suite.find n) in
+      Alcotest.(check bool) (n ^ ": find returns one shared value") true
+        (a == b && a == w))
+    Suite.names (Suite.all ());
+  Alcotest.(check bool) "unknown name" true (Suite.find "no-such" = None)
+
+let setup_digest w =
+  let m = Pf_isa.Machine.create w.Workload.program in
+  w.Workload.setup m;
+  Pf_isa.Machine.state_digest m
+
+let test_setup_rerunnable () =
+  Alcotest.(check (list string)) "one builder per suite member" Suite.names
+    (List.map (fun f -> (f ()).Workload.name) builders);
+  List.iter2
+    (fun n f ->
+      let shared = Option.get (Suite.find n) in
+      let first = setup_digest shared in
+      Alcotest.(check string) (n ^ ": setup re-run on a fresh machine") first
+        (setup_digest shared);
+      Alcotest.(check string) (n ^ ": same state as a freshly built value")
+        first
+        (setup_digest (f ())))
+    Suite.names builders
+
+let test_shared_value_across_domains () =
+  let wl = Option.get (Suite.find "gcc") in
+  let run () =
+    let prep =
+      Pf_uarch.Run.prepare wl.Workload.program ~setup:wl.Workload.setup
+        ~fast_forward:wl.Workload.fast_forward ~window:6_000
+    in
+    let counters = Pf_obs.Counters.create () in
+    let m =
+      Pf_uarch.Run.simulate ~counters prep ~policy:Pf_core.Policy.Postdoms
+    in
+    (m, Pf_obs.Counters.to_alist counters)
+  in
+  let serial = run () in
+  let domains = List.init 2 (fun _ -> Domain.spawn run) in
+  List.iteri
+    (fun i d ->
+      let m, c = Domain.join d in
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d metrics equal the serial run" i)
+        true (m = fst serial);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "domain %d counters equal the serial run" i)
+        (snd serial) c)
+    domains
 
 let test_every_workload_runs_long_enough () =
   List.iter
@@ -437,6 +506,9 @@ let test_fill_permutation_is_cycle () =
 let suite =
   [ ( "workloads.suite",
       [ case "names unique" test_names_unique;
+        case "find shares one value" test_find_shares_one_value;
+        case "setup re-runnable" test_setup_rerunnable;
+        case "shared value across domains" test_shared_value_across_domains;
         case "every workload runs long enough" test_every_workload_runs_long_enough;
         case "traces reproducible" test_every_workload_deterministic;
         case "expected spawn categories" test_expected_spawn_categories;
