@@ -31,10 +31,6 @@ bench-engine:
 # against N fresh prepare+simulate pairs), printed, no artifact.
 bench-batch:
 	dune exec bench/engine_bench.exe -- --batch-only $(ARGS)
-# Cold-vs-warm window preparation through the persistent trace store
-# (the O(prefix) -> O(window) claim), printed, no artifact.
-bench-prepare:
-	dune exec bench/engine_bench.exe -- --prepare-only $(ARGS)
 # Simulation-as-a-service (docs/SERVING.md). `serve` boots the daemon on
 # SOCKET (flags pass through ARGS, e.g. `make serve ARGS=--http-port\ 8080`);
 # `bench-serve` runs the load generator -> BENCH_serve.json, and its
@@ -67,11 +63,10 @@ help:
 	@echo "make loopnest-smoke  self-checking loop-nest sweep (~seconds)"
 	@echo "make bench-engine engine microbenchmark -> BENCH_engine.json"
 	@echo "make bench-batch  batched vs sequential cold sweeps (printed only)"
-	@echo "make bench-prepare  cold vs warm trace-store preparation (printed only)"
 	@echo "make serve        boot the polyflow_serve daemon (SOCKET, ARGS)"
 	@echo "make bench-serve  serving latency/throughput bench -> BENCH_serve.json"
 	@echo "make fuzz-smoke   fixed-seed differential-fuzz batch (~seconds)"
 	@echo "make fuzz         randomized fuzz campaign (FUZZ_SEED, FUZZ_COUNT)"
 	@echo "make doc          build the odoc API docs"
 	@echo "make clean        remove _build"
-.PHONY: all test ci bench bench-smoke bench-loopnest loopnest-smoke bench-engine bench-batch bench-prepare serve bench-serve fuzz fuzz-smoke doc clean help
+.PHONY: all test ci bench bench-smoke bench-loopnest loopnest-smoke bench-engine bench-batch serve bench-serve fuzz fuzz-smoke doc clean help

@@ -29,7 +29,6 @@ let json_out = ref "BENCH_engine.json"
 let smoke = ref false
 let no_grid = ref false
 let batch_only = ref false
-let prepare_only = ref false
 let window_override =
   ref (Option.map int_of_string (Sys.getenv_opt "PF_BENCH_WINDOW"))
 
@@ -40,10 +39,9 @@ let () =
       ("--window", Arg.Int (fun w -> window_override := Some w), "N  override every workload window");
       ("--no-grid", Arg.Set no_grid, "  skip the full-grid sweep timing");
       ("--batch-only", Arg.Set batch_only, "  print only the batched-vs-sequential section, no artifact");
-      ("--prepare-only", Arg.Set prepare_only, "  print only the cold-vs-warm trace-store prepare section, no artifact");
       ("--smoke", Arg.Set smoke, "  fast self-checking run (used by dune runtest)") ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/engine_bench.exe [--jobs N] [--json FILE] [--window N] [--no-grid] [--batch-only] [--prepare-only] [--smoke]"
+    "bench/engine_bench.exe [--jobs N] [--json FILE] [--window N] [--no-grid] [--batch-only] [--smoke]"
 
 (* one policy per policy class; the grid section covers the rest *)
 let phase_policies =
@@ -129,103 +127,6 @@ let measure_workload ~window_override (wl : Pf_workloads.Workload.t) =
     sims;
     adaptive_sim;
     doacross_sim }
-
-(* ---- persistent-store preparation: cold vs warm ----
-
-   Cold preparation pays the whole O(fast_forward + window) pipeline —
-   machine creation, setup, prefix interpretation, window capture,
-   dependence pass — plus the trace-store publish. Warm preparation
-   replays the same window from the store: O(read + decode + window),
-   the repeat-sweep / daemon-steady-state pattern the store exists for.
-   Each side is the best of [prepare_rounds] samples so the gated ratio
-   tracks the pipeline, not scheduler noise: every cold sample runs
-   against a fresh store directory (guaranteed miss), every warm sample
-   re-prepares through the same live store (guaranteed hit). *)
-
-let prepare_rounds = 3
-
-type prepare_row = {
-  p_workload : string;
-  p_window : int;
-  p_instructions : int;
-  p_cold_s : float;
-  p_warm_s : float;
-}
-
-let prepare_speedup p = p.p_cold_s /. p.p_warm_s
-
-let temp_store_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pf_bench_tstore_%d_%d" (Unix.getpid ()) !n)
-
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
-let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
-  let window =
-    match window_override with
-    | Some w -> w
-    | None -> wl.Pf_workloads.Workload.window
-  in
-  let prepare store =
-    Run.prepare ?store wl.Pf_workloads.Workload.program
-      ~setup:wl.Pf_workloads.Workload.setup
-      ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
-  in
-  let best = List.fold_left min infinity in
-  (* one unmeasured round to warm the allocator, as measure_batch does *)
-  ignore (prepare None);
-  let dirs = List.init prepare_rounds (fun _ -> temp_store_dir ()) in
-  let colds =
-    List.map
-      (fun dir ->
-        let store = Pf_trace.Trace_store.create ~dir () in
-        snd (time (fun () -> ignore (prepare (Some store)))))
-      dirs
-  in
-  (* warm hits go through the store of the last cold round *)
-  let warm_store = Pf_trace.Trace_store.create ~dir:(List.nth dirs (prepare_rounds - 1)) () in
-  let prep = ref (prepare (Some warm_store)) in
-  let warms =
-    List.init prepare_rounds (fun _ ->
-        snd (time (fun () -> prep := prepare (Some warm_store))))
-  in
-  let instructions = Pf_trace.Tracer.length !prep.Run.trace in
-  List.iter rm_rf dirs;
-  { p_workload = wl.Pf_workloads.Workload.name;
-    p_window = window;
-    p_instructions = instructions;
-    p_cold_s = best colds;
-    p_warm_s = best warms }
-
-let print_prepare_row p =
-  Printf.printf
-    "  %-10s window %7d  cold %7.2f ms  warm %7.2f ms  speedup %5.1fx\n%!"
-    p.p_workload p.p_window (1000. *. p.p_cold_s) (1000. *. p.p_warm_s)
-    (prepare_speedup p)
-
-let prepare_row_to_json p =
-  Json.Obj
-    [ ("workload", Json.String p.p_workload);
-      ("window", Json.Int p.p_window);
-      ("instructions", Json.Int p.p_instructions);
-      ("prepare_cold_s", Json.Float p.p_cold_s);
-      ("prepare_warm_s", Json.Float p.p_warm_s);
-      ("warm_prepare_speedup", Json.Float (prepare_speedup p)) ]
-
-(* aggregate ratio: total cold wall over total warm wall *)
-let prepare_totals prep_rows =
-  let sum f = List.fold_left (fun a p -> a +. f p) 0. prep_rows in
-  let cold = sum (fun p -> p.p_cold_s) and warm = sum (fun p -> p.p_warm_s) in
-  (cold, warm, if warm = 0. then 0. else cold /. warm)
 
 (* ---- batched vs sequential cold sweeps ----
 
@@ -417,11 +318,8 @@ let batch_totals batched ~size =
   let wall = fold (fun _ r -> r.batched_cold_s) in
   if wall = 0. then (0., 0.) else (instrs /. wall /. 1e6, seq /. wall)
 
-let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
+let document ~tool ~wall_s ~rows ~batched ~grid =
   let sum f = List.fold_left (fun a w -> a +. f w) 0. rows in
-  let prepare_cold_s, prepare_warm_s, warm_prepare_speedup =
-    prepare_totals prep_rows
-  in
   let instrs =
     List.fold_left
       (fun a w -> a + (w.instructions * List.length w.sims))
@@ -462,12 +360,6 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
              float_of_int instrs /. s /. 1e6) );
         ("batched_minstr_per_s", Json.Float batched_minstr);
         ("batch_speedup_4", Json.Float speedup_4);
-        (* trace-store preparation: cold pays the full O(prefix+window)
-           pipeline, warm replays the window from the persistent store;
-           the ratio is gated in CI (perf-smoke) *)
-        ("prepare_cold_s", Json.Float prepare_cold_s);
-        ("prepare_warm_s", Json.Float prepare_warm_s);
-        ("warm_prepare_speedup", Json.Float warm_prepare_speedup);
         ( "allocated_words_per_instr",
           Json.Float (sum allocated_total /. float_of_int instrs) ) ]
   in
@@ -482,7 +374,6 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
             (fun p -> Json.String (Pf_core.Policy.name p))
             phase_policies));
       ("workloads", Json.List (List.map workload_to_json rows));
-      ("prepare", Json.List (List.map prepare_row_to_json prep_rows));
       ("batched", Json.List (List.map batch_row_to_json batched));
       ( "grid",
         match grid with
@@ -536,7 +427,6 @@ let with_history path doc =
         ("doacross_minstr_per_s", sub "totals" "doacross_minstr_per_s");
         ("batched_minstr_per_s", sub "totals" "batched_minstr_per_s");
         ("batch_speedup_4", sub "totals" "batch_speedup_4");
-        ("warm_prepare_speedup", sub "totals" "warm_prepare_speedup");
         ("allocated_words_per_instr", sub "totals" "allocated_words_per_instr")
       ]
   in
@@ -614,21 +504,9 @@ let run_smoke () =
   let batch_gzip = measure_batch ~window_override:(Some 4_000) batch_wl in
   let size4 = List.find (fun r -> r.size = 4) batch_gzip.b_sizes in
   check "batched cold speedup >= 2x at B=4" (batch_speedup size4 >= 2.0);
-  (* the O(prefix) -> O(window) claim of the trace store: a warm
-     preparation (store hit) must beat a cold one by 3x or more even on
-     the smoke grid, where the window is tiny and the prefix short *)
-  let prep_rows =
-    List.map
-      (fun name ->
-        measure_prepare ~window_override:(Some 2_000)
-          (Option.get (Pf_workloads.Suite.find name)))
-      [ "gzip"; "mcf" ]
-  in
-  let _, _, warm_speedup = prepare_totals prep_rows in
-  check "warm prepare >= 3x cold via the trace store" (warm_speedup >= 3.0);
   (* the artifact round-trips through the JSON printer/parser *)
   let doc =
-    document ~tool:"engine_bench --smoke" ~wall_s:0. ~rows ~prep_rows
+    document ~tool:"engine_bench --smoke" ~wall_s:0. ~rows
       ~batched:[ batch_gzip ] ~grid:None
   in
   let reparsed = Json.of_string (Json.to_string_pretty doc) in
@@ -640,9 +518,6 @@ let run_smoke () =
     && Json.member_opt "adaptive_minstr_per_s" (Json.member "totals" reparsed)
        <> None
     && Json.member_opt "doacross_minstr_per_s" (Json.member "totals" reparsed)
-       <> None
-    && List.length (Json.to_list (Json.member "prepare" reparsed)) = 2
-    && Json.member_opt "warm_prepare_speedup" (Json.member "totals" reparsed)
        <> None);
   (* the steady-state loop must stay allocation-free.  Measured over a
      window long enough to amortize per-simulate setup (predictor
@@ -685,19 +560,6 @@ let run_full () =
          baseline; the loop-nest family has its own figure *)
       Pf_workloads.Suite.spec_names
   in
-  let prep_rows =
-    Printf.printf
-      "Trace-store preparation, cold (fresh store) vs warm (store hit):\n%!";
-    List.map
-      (fun name ->
-        let p =
-          measure_prepare ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_prepare_row p;
-        p)
-      Pf_workloads.Suite.spec_names
-  in
   let batched =
     Printf.printf
       "Batched vs sequential cold sweeps (%s; policies cycle %s):\n%!"
@@ -730,20 +592,19 @@ let run_full () =
   let sum f = List.fold_left (fun a w -> a +. f w) 0. rows in
   let batched_minstr, _ = batch_totals batched ~size:max_batch_size in
   let _, speedup_4 = batch_totals batched ~size:4 in
-  let _, _, warm_speedup = prepare_totals prep_rows in
   Printf.printf
     "Totals: prepare %.2f s, simulate %.2f s; flatten-sharing speedup %.2fx \
      on the phase grid; batched %.2f Minstr/s at B=%d, cold speedup %.2fx at \
-     B=4; warm prepare %.1fx cold\n"
+     B=4\n"
     (sum (fun w -> w.prepare_s))
     (sum simulate_total)
     (sum unshared_wall /. sum shared_wall)
-    batched_minstr max_batch_size speedup_4 warm_speedup;
+    batched_minstr max_batch_size speedup_4;
   let doc =
     document
       ~tool:(String.concat " " (Array.to_list Sys.argv))
       ~wall_s:(Unix.gettimeofday () -. t_start)
-      ~rows ~prep_rows ~batched ~grid
+      ~rows ~batched ~grid
   in
   save !json_out (with_history !json_out doc);
   Printf.printf "Wrote %s (schema %d)\n" !json_out
@@ -772,28 +633,7 @@ let run_batch_only () =
     "Aggregate: %.2f Minstr/s at B=%d; cold speedup %.2fx at B=4\n"
     batched_minstr max_batch_size speedup_4
 
-(* ---- prepare-only: the cold-vs-warm store section alone ---- *)
-
-let run_prepare_only () =
-  Printf.printf
-    "Trace-store preparation, cold (fresh store) vs warm (store hit):\n%!";
-  let prep_rows =
-    List.map
-      (fun name ->
-        let p =
-          measure_prepare ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_prepare_row p;
-        p)
-      Pf_workloads.Suite.spec_names
-  in
-  let cold, warm, speedup = prepare_totals prep_rows in
-  Printf.printf "Aggregate: cold %.1f ms, warm %.1f ms, speedup %.1fx\n"
-    (1000. *. cold) (1000. *. warm) speedup
-
 let () =
   if !smoke then run_smoke ()
   else if !batch_only then run_batch_only ()
-  else if !prepare_only then run_prepare_only ()
   else run_full ()

@@ -39,8 +39,6 @@ let loopnest = ref false
 let no_micro = ref false
 let no_cache = ref false
 let cache_dir = ref "_cache"
-let no_trace_store = ref false
-let trace_store_dir = ref "_tstore"
 let verbose = ref false
 
 let () =
@@ -56,14 +54,10 @@ let () =
        "  bypass the sweep result cache and resimulate everything");
       ("--cache", Arg.Set_string cache_dir,
        "DIR  sweep result cache directory (default: _cache)");
-      ("--no-trace-store", Arg.Set no_trace_store,
-       "  bypass the persistent trace store and re-prepare every window");
-      ("--trace-store", Arg.Set_string trace_store_dir,
-       "DIR  persistent compiled-trace store directory (default: _tstore)");
       ("-v", Arg.Set verbose,
        "  verbose: print the sweep's cache/batch execution summary") ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/main.exe [--jobs N] [--json FILE] [--smoke] [--loopnest] [--no-micro] [--no-cache] [--cache DIR] [--no-trace-store] [--trace-store DIR] [-v]"
+    "bench/main.exe [--jobs N] [--json FILE] [--smoke] [--loopnest] [--no-micro] [--no-cache] [--cache DIR] [-v]"
 
 (* ---- the sweep grid ---- *)
 
@@ -815,11 +809,7 @@ let run_loopnest () =
     if !no_cache then None
     else Some (Pf_report.Run_cache.create ~dir:!cache_dir ())
   in
-  let trace_store =
-    if !no_trace_store then None
-    else Some (Pf_trace.Trace_store.create ~dir:!trace_store_dir ())
-  in
-  let runs, _ = Sweep.execute ?cache ?trace_store ~jobs:!jobs specs in
+  let runs, _ = Sweep.execute ?cache ~jobs:!jobs specs in
   let doc =
     Sweep.document
       ~tool:"bench/main.exe --loopnest"
@@ -945,17 +935,9 @@ let run_full () =
     if !no_cache then None
     else Some (Pf_report.Run_cache.create ~dir:!cache_dir ())
   in
-  (* persistent trace store (docs/ENGINE.md): repeat sweeps reload each
-     workload's prepared window from _tstore/ instead of re-interpreting
-     the fast-forward prefix *)
-  let trace_store =
-    if !no_trace_store then None
-    else Some (Pf_trace.Trace_store.create ~dir:!trace_store_dir ())
-  in
   let stats = ref None in
   let runs, prepared =
-    Sweep.execute ~progress ?cache ?trace_store
-      ~on_stats:(fun s -> stats := Some s)
+    Sweep.execute ~progress ?cache ~on_stats:(fun s -> stats := Some s)
       ~jobs:!jobs specs
   in
   let sweep_wall = Unix.gettimeofday () -. t_start in

@@ -3,9 +3,7 @@
    Binds a Unix-domain socket, speaks the newline-delimited JSON
    protocol of docs/SERVING.md, serves repeated runs from the sharded
    LRU run cache and schedules misses on a persistent domain pool with
-   warm engine scratch. Window preparation goes through the persistent
-   trace store (--trace-store), so a daemon restarted over a populated
-   store skips re-interpreting fast-forward prefixes. An optional HTTP/1.1 shim on 127.0.0.1 carries
+   warm engine scratch. An optional HTTP/1.1 shim on 127.0.0.1 carries
    the same requests for curl and health checks.
 
    Examples:
@@ -27,16 +25,13 @@ let parse_prewarm s =
            (String.split_on_char ',' s))
     with _ -> Error (Printf.sprintf "bad --prewarm %S: expected N[,N...]" s)
 
-let serve socket_path http_port jobs cache_dir no_cache cache_cap
-    trace_store_dir no_trace_store trace_store_cap timeout_ms prewarm
-    no_shutdown verbose =
+let serve socket_path http_port jobs cache_dir no_cache cache_cap timeout_ms
+    prewarm no_shutdown verbose =
   match parse_prewarm prewarm with
   | Error m -> `Error (false, m)
   | Ok prewarm_windows -> (
       if jobs < 1 then `Error (false, "--jobs must be at least 1")
       else if cache_cap < 0 then `Error (false, "--cache-cap must be >= 0")
-      else if trace_store_cap < 0 then
-        `Error (false, "--trace-store-cap must be >= 0")
       else
         let cfg =
           { (Pf_serve.Server.default_config ~socket_path) with
@@ -44,9 +39,6 @@ let serve socket_path http_port jobs cache_dir no_cache cache_cap
             jobs;
             cache_dir = (if no_cache then None else Some cache_dir);
             cache_cap;
-            trace_store_dir =
-              (if no_trace_store then None else Some trace_store_dir);
-            trace_store_cap;
             default_timeout_ms = timeout_ms;
             prewarm_windows;
             allow_shutdown = not no_shutdown;
@@ -122,27 +114,6 @@ let cache_cap_t =
           "Evict least-recently-used cache entries beyond $(docv) \
            (0 = unbounded).")
 
-let trace_store_dir_t =
-  Arg.(
-    value
-    & opt string "_tstore"
-    & info [ "trace-store" ] ~docv:"DIR"
-        ~doc:
-          "Persistent trace-store directory for the two-level window            preparation cache (created on demand). Point successive boots            at the same directory and cold windows load from disk instead            of re-interpreting the fast-forward prefix; replies are            byte-identical either way.")
-
-let no_trace_store_t =
-  Arg.(
-    value & flag
-    & info [ "no-trace-store" ]
-        ~doc:"Disable the trace store; every window prepares from scratch.")
-
-let trace_store_cap_t =
-  Arg.(
-    value & opt int 0
-    & info [ "trace-store-cap" ] ~docv:"N"
-        ~doc:
-          "Evict least-recently-used trace-store entries beyond $(docv)            (0 = unbounded).")
-
 let timeout_ms_t =
   Arg.(
     value & opt int 0
@@ -180,8 +151,7 @@ let cmd =
     Term.(
       ret
         (const serve $ socket_t $ http_port_t $ jobs_t $ cache_dir_t
-       $ no_cache_t $ cache_cap_t $ trace_store_dir_t $ no_trace_store_t
-       $ trace_store_cap_t $ timeout_ms_t $ prewarm_t $ no_shutdown_t
+       $ no_cache_t $ cache_cap_t $ timeout_ms_t $ prewarm_t $ no_shutdown_t
        $ verbose_t))
 
 let () = exit (Cmd.eval cmd)

@@ -23,11 +23,11 @@ let with_workload name f =
   | None ->
       `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
 
-let prepare ?store ?window (w : Pf_workloads.Workload.t) =
+let prepare ?window (w : Pf_workloads.Workload.t) =
   let window =
     match window with Some n -> n | None -> w.Pf_workloads.Workload.window
   in
-  Pf_uarch.Run.prepare ?store w.Pf_workloads.Workload.program
+  Pf_uarch.Run.prepare w.Pf_workloads.Workload.program
     ~setup:w.Pf_workloads.Workload.setup
     ~fast_forward:w.Pf_workloads.Workload.fast_forward ~window
 
@@ -44,19 +44,14 @@ let print_run ~verbose name policy base m =
   Format.printf "@.";
   if verbose then Format.printf "%a@." Metrics.pp m
 
-let run_cmd workload_name policy_str all_policies window trace_store_dir
-    json_out cpi_stack chrome_out verbose =
+let run_cmd workload_name policy_str all_policies window json_out cpi_stack
+    chrome_out verbose =
   if all_policies && chrome_out <> None then
     `Error (false, "--chrome-trace records one run; drop --all-policies")
   else
   with_workload workload_name (fun w ->
-      let store =
-        Option.map
-          (fun dir -> Pf_trace.Trace_store.create ~dir ())
-          trace_store_dir
-      in
       let t_start = Unix.gettimeofday () in
-      let prep = prepare ?store ?window w in
+      let prep = prepare ?window w in
       let prepare_s = Unix.gettimeofday () -. t_start in
       let name = w.Pf_workloads.Workload.name in
       let instructions = Pf_trace.Tracer.length prep.Pf_uarch.Run.trace in
@@ -435,19 +430,11 @@ let run_c =
              for spawns, instants for squashes. Open in ui.perfetto.dev or \
              chrome://tracing. Incompatible with $(b,--all-policies).")
   in
-  let trace_store_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-store" ] ~docv:"DIR"
-          ~doc:
-            "Prepare the window through a persistent trace store in              $(docv) (created on demand): repeat invocations load the              captured window from disk instead of re-interpreting the              fast-forward prefix. Results are byte-identical either way.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a workload under spawn policies")
     Term.(
       ret (const run_cmd $ workload_t $ policy_t $ all_policies_t $ window_t
-           $ trace_store_t $ json_t $ cpi_t $ chrome_t $ verbose_t))
+           $ json_t $ cpi_t $ chrome_t $ verbose_t))
 
 let report_c =
   let file_t =

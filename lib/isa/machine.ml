@@ -13,11 +13,6 @@ type t = {
   mutable pc : int;
   mutable halted : bool;
   mutable icount : int;
-  (* write watermarks: every byte ever stored lies in [wlo, whi); bytes
-     outside are still their initial zeros. Lets state_digest hash only
-     the touched span instead of the whole image. *)
-  mutable wlo : int;
-  mutable whi : int;
 }
 
 let default_mem_size = 4 * 1024 * 1024
@@ -29,9 +24,7 @@ let create ?(mem_size = default_mem_size) program =
       mem = Bytes.make mem_size '\000';
       pc = program.Program.entry_pc;
       halted = false;
-      icount = 0;
-      wlo = mem_size;
-      whi = 0 }
+      icount = 0 }
   in
   m.regs.(Reg.sp) <- Int64.of_int (mem_size - 64);
   m
@@ -50,20 +43,12 @@ let check_addr m addr n =
   if addr < 0 || addr + n > Bytes.length m.mem then
     invalid_arg (Printf.sprintf "Machine: address 0x%x out of bounds" addr)
 
-let note_write m addr n =
-  if addr < m.wlo then m.wlo <- addr;
-  if addr + n > m.whi then m.whi <- addr + n
-
 let read_u8 m addr = check_addr m addr 1; Bytes.get_uint8 m.mem addr
-let write_u8 m addr v =
-  check_addr m addr 1; note_write m addr 1;
-  Bytes.set_uint8 m.mem addr (v land 0xff)
+let write_u8 m addr v = check_addr m addr 1; Bytes.set_uint8 m.mem addr (v land 0xff)
 let read_i64 m addr = check_addr m addr 8; Bytes.get_int64_le m.mem addr
-let write_i64 m addr v =
-  check_addr m addr 8; note_write m addr 8; Bytes.set_int64_le m.mem addr v
+let write_i64 m addr v = check_addr m addr 8; Bytes.set_int64_le m.mem addr v
 let read_i32 m addr = check_addr m addr 4; Bytes.get_int32_le m.mem addr
-let write_i32 m addr v =
-  check_addr m addr 4; note_write m addr 4; Bytes.set_int32_le m.mem addr v
+let write_i32 m addr v = check_addr m addr 4; Bytes.set_int32_le m.mem addr v
 
 let load_value m w signed addr =
   match (w, signed) with
@@ -82,7 +67,6 @@ let store_value m w addr v =
   | Instr.B -> write_u8 m addr (Int64.to_int (Int64.logand v 0xffL))
   | Instr.H ->
       check_addr m addr 2;
-      note_write m addr 2;
       Bytes.set_int16_le m.mem addr (Int64.to_int (Int64.logand v 0xffffL))
   | Instr.W -> write_i32 m addr (Int64.to_int32 v)
   | Instr.D -> write_i64 m addr v
@@ -180,45 +164,7 @@ let run m ~max_instrs ~on_event =
 
 let skip m n = run m ~max_instrs:n ~on_event:ignore
 
-(* --- checkpointing --------------------------------------------------- *)
-
-type checkpoint = {
-  ck_regs : int64 array;
-  ck_mem : Bytes.t;
-  ck_pc : int;
-  ck_halted : bool;
-  ck_icount : int;
-  ck_wlo : int;
-  ck_whi : int;
-}
-
-let checkpoint m =
-  { ck_regs = Array.copy m.regs;
-    ck_mem = Bytes.copy m.mem;
-    ck_pc = m.pc;
-    ck_halted = m.halted;
-    ck_icount = m.icount;
-    ck_wlo = m.wlo;
-    ck_whi = m.whi }
-
-let checkpoint_icount ck = ck.ck_icount
-
-let restore m ck =
-  if Bytes.length m.mem <> Bytes.length ck.ck_mem then
-    invalid_arg "Machine.restore: memory size mismatch";
-  Array.blit ck.ck_regs 0 m.regs 0 (Array.length m.regs);
-  Bytes.blit ck.ck_mem 0 m.mem 0 (Bytes.length m.mem);
-  m.pc <- ck.ck_pc;
-  m.halted <- ck.ck_halted;
-  m.icount <- ck.ck_icount;
-  m.wlo <- ck.ck_wlo;
-  m.whi <- ck.ck_whi
-
 let state_digest m =
-  (* Bytes outside [wlo, whi) were never written and are still zero, so
-     hashing the touched span plus the watermarks covers the full image
-     without paying an MD5 over (typically) megabytes of zeros. *)
-  let lo, hi = if m.wlo < m.whi then (m.wlo, m.whi) else (0, 0) in
   let meta = Buffer.create 320 in
   Buffer.add_string meta "polyflow-machine-state";
   Buffer.add_char meta '\n';
@@ -226,7 +172,7 @@ let state_digest m =
     (fun v ->
       Buffer.add_string meta (string_of_int v);
       Buffer.add_char meta '\n')
-    [ Bytes.length m.mem; m.pc; (if m.halted then 1 else 0); m.icount; lo; hi ];
+    [ Bytes.length m.mem; m.pc; (if m.halted then 1 else 0); m.icount ];
   Array.iter (fun r -> Buffer.add_int64_le meta r) m.regs;
-  Buffer.add_string meta (Digest.subbytes m.mem lo (hi - lo));
+  Buffer.add_string meta (Digest.bytes m.mem);
   Digest.to_hex (Digest.bytes (Buffer.to_bytes meta))

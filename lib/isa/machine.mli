@@ -57,35 +57,7 @@ val run : t -> max_instrs:int -> on_event:(event -> unit) -> int
     (fast-forward); returns the number executed. *)
 val skip : t -> int -> int
 
-(** {1 Checkpointing}
-
-    A checkpoint is an immutable snapshot of the full architectural
-    state — registers, memory image, pc, halt flag and instruction
-    count. {!restore} puts a machine back in exactly the snapshotted
-    state (the test suite holds checkpoint/run/restore/run
-    event-stream equality as a qcheck property), so fast-forwarding can
-    resume from the nearest checkpoint instead of re-interpreting the
-    whole prefix. Checkpoints carry no program: restoring into a
-    machine built from a different program of the same memory size is
-    not detected, so callers key checkpoints by program content. *)
-
-type checkpoint
-
-(** Snapshot the current state. O(mem_size) copy. *)
-val checkpoint : t -> checkpoint
-
-(** Instruction count at which the snapshot was taken. *)
-val checkpoint_icount : checkpoint -> int
-
-(** [restore m ck] overwrites [m]'s registers, memory, pc, halt flag
-    and instruction count with the snapshot. Raises [Invalid_argument]
-    if the memory sizes differ. *)
-val restore : t -> checkpoint -> unit
-
 (** A hex MD5 of the full architectural state (memory size, pc, halt
-    flag, instruction count, registers, and every byte ever written).
-    Two machines with equal digests behave identically from here on;
-    the cost is an MD5 over the written span only, not the whole
-    image. Used to fingerprint workload [setup] effects for the trace
-    store. *)
+    flag, instruction count, registers and the whole memory image). Two
+    machines with equal digests behave identically from here on. *)
 val state_digest : t -> string

@@ -163,7 +163,7 @@ let chunk k l =
   in
   go [] [] 0 l
 
-let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
+let execute ?progress ?cache ?(batch = 8) ?on_stats ~jobs specs =
   let specs = Array.of_list specs in
   let workload_of name =
     match Pf_workloads.Suite.find name with
@@ -293,7 +293,7 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
       (fun (name, wl, window) ->
         let t0 = Unix.gettimeofday () in
         let prep =
-          Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
+          Run.prepare wl.Pf_workloads.Workload.program
             ~setup:wl.Pf_workloads.Workload.setup
             ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
         in

@@ -107,12 +107,6 @@ type exec_stats = {
     returned [prepared_window]s feed follow-on analyses. Invalid
     entries are reported on stderr and resimulated.
 
-    [trace_store] routes window preparation through the two-level
-    {!Pf_trace.Trace_store}: repeat preparations load the captured
-    window from disk (or restore an in-memory fast-forward checkpoint)
-    instead of re-interpreting the prefix. Results are byte-identical
-    with and without it.
-
     Cache misses sharing a (workload, window) are grouped, in first-use
     order, into lockstep batches of at most [batch] members (default 8;
     values [<= 1] disable batching) and each batch is simulated by one
@@ -128,7 +122,6 @@ type exec_stats = {
 val execute :
   ?progress:(done_:int -> total:int -> unit) ->
   ?cache:Run_cache.t ->
-  ?trace_store:Pf_trace.Trace_store.t ->
   ?batch:int ->
   ?on_stats:(exec_stats -> unit) ->
   jobs:int ->

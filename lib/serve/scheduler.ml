@@ -24,7 +24,6 @@
 module Json = Pf_json.Json
 module Sweep = Pf_report.Sweep
 module Run_cache = Pf_report.Run_cache
-module Trace_store = Pf_trace.Trace_store
 module Counters = Pf_obs.Counters
 
 type resolved = {
@@ -53,7 +52,6 @@ type prep_slot = Building | Ready of Pf_uarch.Run.prepared
 type t = {
   jobs : int;
   cache : Run_cache.t option;
-  trace_store : Trace_store.t option;
   counters : Counters.t;
   c_run_requests : Counters.counter;
   c_coalesced : Counters.counter;
@@ -158,8 +156,7 @@ let rec acquire_prep t (r : resolved) =
       let wl = r.r_workload in
       let t0 = Unix.gettimeofday () in
       match
-        Pf_uarch.Run.prepare ?store:t.trace_store
-          wl.Pf_workloads.Workload.program
+        Pf_uarch.Run.prepare wl.Pf_workloads.Workload.program
           ~setup:wl.Pf_workloads.Workload.setup
           ~fast_forward:wl.Pf_workloads.Workload.fast_forward
           ~window:r.r_window
@@ -338,12 +335,11 @@ let worker_loop t prewarm_windows () =
   in
   loop ()
 
-let create ?cache ?trace_store ?(prewarm_windows = []) ~jobs ~counters () =
+let create ?cache ?(prewarm_windows = []) ~jobs ~counters () =
   if jobs < 1 then invalid_arg "Scheduler.create: jobs < 1";
   let t =
     { jobs;
       cache;
-      trace_store;
       counters;
       c_run_requests = Counters.make counters "run_requests";
       c_coalesced = Counters.make counters "coalesced_requests";
@@ -485,23 +481,6 @@ let stats_fields t =
               ("misses", Json.Int s.Run_cache.misses);
               ("stores", Json.Int s.Run_cache.stores);
               ("evictions", Json.Int s.Run_cache.evictions) ] );
-    ( "trace_store",
-      match t.trace_store with
-      | None -> Json.Null
-      | Some ts ->
-          let s = Trace_store.stats ts in
-          Json.Obj
-            [ ("dir", Json.String (Trace_store.dir ts));
-              ("cap", Json.Int (Trace_store.cap ts));
-              ("entries", Json.Int s.Trace_store.entries);
-              ("hits", Json.Int s.Trace_store.hits);
-              ("misses", Json.Int s.Trace_store.misses);
-              ("stores", Json.Int s.Trace_store.stores);
-              ("evictions", Json.Int s.Trace_store.evictions);
-              ("bytes", Json.Int s.Trace_store.bytes);
-              ( "checkpoint_restores",
-                Json.Int s.Trace_store.checkpoint_restores );
-              ("checkpoints", Json.Int s.Trace_store.checkpoints) ] );
     ("counters", Counters.to_json t.counters) ]
 
 let shutdown t =

@@ -19,11 +19,6 @@
     and the first simulation of each distinct (workload, window) pair
     publishes its {!Pf_uarch.Run.prepare} result for every later
     request of that window — concurrent first requests build it once.
-    With [trace_store], those builds go through the persistent
-    two-level {!Pf_trace.Trace_store}, so a daemon restarted over a
-    populated store loads its windows from disk instead of
-    re-interpreting the fast-forward prefix (byte-identical replies
-    either way).
 
     A worker popping a job also drains every other queued job for the
     same (workload, window) — up to 8 — and answers them with one
@@ -47,15 +42,13 @@ type t
     [coalesced_requests], [simulations], [batched_runs] (simulations
     answered as members of a multi-member lockstep batch),
     [prep_builds], [prep_reuses]
-    and [request_timeouts] (plus the cache's and trace store's
-    counters if they were created with the same registry); register
-    service-level counters
+    and [request_timeouts] (plus the cache's counters if the cache was
+    created with the same registry); register service-level counters
     in it before any concurrent use — the registry itself is not
     thread-safe to extend, only to increment and read.
     @raise Invalid_argument if [jobs < 1]. *)
 val create :
   ?cache:Pf_report.Run_cache.t ->
-  ?trace_store:Pf_trace.Trace_store.t ->
   ?prewarm_windows:int list ->
   jobs:int ->
   counters:Pf_obs.Counters.t ->
@@ -72,10 +65,10 @@ val run : t -> ?default_timeout_ms:int -> Protocol.run_request -> Protocol.respo
 
 (** Fields for the [stats] reply: worker/in-flight/queued/
     prepared-window gauges, a [prepare_ms] gauge (total wall
-    milliseconds spent building prepared windows), cache and
-    [trace_store] blocks (or [Null]), and the full counter registry. [queued] is the number of jobs accepted but not
-    yet popped by a worker ([inflight] also counts jobs being
-    simulated right now). *)
+    milliseconds spent building prepared windows), a cache block (or
+    [Null]), and the full counter registry. [queued] is the number of
+    jobs accepted but not yet popped by a worker ([inflight] also
+    counts jobs being simulated right now). *)
 val stats_fields : t -> (string * Pf_json.Json.t) list
 
 (** Stop accepting work ({!run} then answers [Shutting_down]), let the

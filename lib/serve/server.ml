@@ -19,8 +19,6 @@ type config = {
   jobs : int;
   cache_dir : string option;
   cache_cap : int;
-  trace_store_dir : string option;
-  trace_store_cap : int;
   default_timeout_ms : int;
   prewarm_windows : int list;
   allow_shutdown : bool;
@@ -34,8 +32,6 @@ let default_config ~socket_path =
     jobs = max 1 (min 8 (Domain.recommended_domain_count () - 1));
     cache_dir = Some "_cache";
     cache_cap = 0;
-    trace_store_dir = Some "_tstore";
-    trace_store_cap = 0;
     default_timeout_ms = 0;
     prewarm_windows = [];
     allow_shutdown = true;
@@ -199,15 +195,9 @@ let start cfg =
       (fun dir -> Run_cache.create ~cap:cfg.cache_cap ~counters ~dir ())
       cfg.cache_dir
   in
-  let trace_store =
-    Option.map
-      (fun dir ->
-        Pf_trace.Trace_store.create ~cap:cfg.trace_store_cap ~counters ~dir ())
-      cfg.trace_store_dir
-  in
   let sched =
-    Scheduler.create ?cache ?trace_store
-      ~prewarm_windows:cfg.prewarm_windows ~jobs:cfg.jobs ~counters ()
+    Scheduler.create ?cache ~prewarm_windows:cfg.prewarm_windows
+      ~jobs:cfg.jobs ~counters ()
   in
   let listen_fd = bind_socket cfg in
   let t =
@@ -228,11 +218,9 @@ let start cfg =
   in
   t.http <- Option.map (fun port -> Http.start ~port ~dispatch:(dispatch t)) cfg.http_port;
   t.acceptor <- Some (Thread.create accept_loop t);
-  log t "listening on %s (jobs %d, cache %s%s, trace store %s)%s"
-    cfg.socket_path cfg.jobs
+  log t "listening on %s (jobs %d, cache %s%s)%s" cfg.socket_path cfg.jobs
     (match cfg.cache_dir with None -> "off" | Some d -> d)
     (if cfg.cache_cap > 0 then Printf.sprintf ", cap %d" cfg.cache_cap else "")
-    (match cfg.trace_store_dir with None -> "off" | Some d -> d)
     (match http_port t with
     | Some p -> Printf.sprintf ", http 127.0.0.1:%d" p
     | None -> "");

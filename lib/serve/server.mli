@@ -21,13 +21,6 @@ type config = {
       (** Run-cache directory ([None] disables caching — every request
           simulates). Created on demand, parents included. *)
   cache_cap : int;  (** LRU entry cap; [0] = unbounded. *)
-  trace_store_dir : string option;
-      (** Persistent trace-store directory for the two-level
-          preparation cache ([None] prepares every window from
-          scratch). Point successive daemon boots at the same
-          directory to skip re-interpreting fast-forward prefixes —
-          replies are byte-identical either way. *)
-  trace_store_cap : int;  (** Trace-store LRU entry cap; [0] = unbounded. *)
   default_timeout_ms : int;
       (** Deadline for requests that do not carry [timeout_ms];
           [0] = wait forever. *)
@@ -41,8 +34,8 @@ type config = {
 }
 
 (** Sensible defaults: jobs from [Domain.recommended_domain_count],
-    cache in [_cache], trace store in [_tstore], no caps, no HTTP, no
-    timeout, shutdown allowed, socket mode [0o600], quiet. *)
+    cache in [_cache], no cap, no HTTP, no timeout, shutdown allowed,
+    socket mode [0o600], quiet. *)
 val default_config : socket_path:string -> config
 
 type t

@@ -28,13 +28,10 @@ let collector ~window =
   in
   (on_event, finish)
 
-let capture_window machine ~window ~fast_forwarded =
-  let on_event, finish = collector ~window in
-  ignore (Pf_isa.Machine.run machine ~max_instrs:window ~on_event);
-  { dyns = finish (); fast_forwarded }
-
 let capture machine ~fast_forward ~window =
   let skipped = Pf_isa.Machine.skip machine fast_forward in
-  capture_window machine ~window ~fast_forwarded:skipped
+  let on_event, finish = collector ~window in
+  ignore (Pf_isa.Machine.run machine ~max_instrs:window ~on_event);
+  { dyns = finish (); fast_forwarded = skipped }
 
 let length t = Array.length t.dyns

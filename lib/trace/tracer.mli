@@ -13,14 +13,6 @@ type t = {
     {!Depinfo.compute} next. *)
 val capture : Pf_isa.Machine.t -> fast_forward:int -> window:int -> t
 
-(** [capture_window machine ~window ~fast_forwarded] records up to
-    [window] instructions from the machine's {e current} state — no
-    skipping — stamping the given fast-forward count on the result.
-    This is the entry point for callers that position the machine
-    themselves (e.g. the trace store's checkpoint restore). *)
-val capture_window :
-  Pf_isa.Machine.t -> window:int -> fast_forwarded:int -> t
-
 (** The event buffer behind {!capture}: feed events to the first
     function, then call the second for the collected records. Sized to
     [window] up front; grows (doubling) if more events arrive, which no

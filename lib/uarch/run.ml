@@ -6,24 +6,13 @@ type prepared = {
   all_spawns : Pf_core.Spawn_point.t list;
 }
 
-let prepare ?store program ~setup ~fast_forward ~window =
-  let trace =
-    match store with
-    | None ->
-        let machine = Pf_isa.Machine.create program in
-        setup machine;
-        let trace = Pf_trace.Tracer.capture machine ~fast_forward ~window in
-        if Pf_trace.Tracer.length trace > 0 then
-          Pf_trace.Depinfo.compute trace;
-        trace
-    | Some store ->
-        (* store hits, checkpoint restores and from-scratch misses all
-           return the window with producer indices already filled *)
-        Pf_trace.Trace_store.prepare store program ~setup ~fast_forward
-          ~window
-  in
+let prepare program ~setup ~fast_forward ~window =
+  let machine = Pf_isa.Machine.create program in
+  setup machine;
+  let trace = Pf_trace.Tracer.capture machine ~fast_forward ~window in
   if Pf_trace.Tracer.length trace = 0 then
     invalid_arg "Run.prepare: empty window (program halted during fast-forward?)";
+  Pf_trace.Depinfo.compute trace;
   (* flatten once, after the dependence pass: the SoA arrays are
      immutable from here on and shared by every policy simulated against
      this window, including concurrently on other domains *)

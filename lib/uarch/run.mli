@@ -19,16 +19,8 @@ type prepared = {
     the window and computes the dependence, flat-trace and occurrence
     indexes. Everything in the result is immutable, so one [prepared]
     value may be simulated concurrently from many domains.
-
-    With [store], the capture and dependence pass go through the
-    two-level {!Pf_trace.Trace_store}: a persistent-store hit loads the
-    window from disk, a miss fast-forwards from the nearest in-memory
-    checkpoint (or from scratch) and publishes the result. Every path
-    yields a byte-identical [prepared] — downstream metrics, goldens
-    and run-cache digests cannot observe which one ran.
     @raise Invalid_argument if the captured window is empty. *)
 val prepare :
-  ?store:Pf_trace.Trace_store.t ->
   Pf_isa.Program.t ->
   setup:(Pf_isa.Machine.t -> unit) ->
   fast_forward:int ->

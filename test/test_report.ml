@@ -462,7 +462,13 @@ let test_cache_corruption_ignored () =
         (Json.to_string (Codec.metrics_to_json r.Sweep.metrics))
   | _ -> Alcotest.fail "one run expected");
   Alcotest.(check bool) "entry repaired in place" true
-    (Run_cache.find cache ~digest <> None)
+    (Run_cache.find cache ~digest <> None);
+  (* well-formed JSON of the wrong shape is a miss too, not an error *)
+  let oc = open_out path in
+  output_string oc "[1, 2]";
+  close_out oc;
+  Alcotest.(check bool) "non-object entry is a miss" true
+    (Run_cache.find cache ~digest = None)
 
 (* ---- policy names round-trip (the CLI and the schema rely on it) ---- *)
 

@@ -449,6 +449,55 @@ let test_server_refuses_shutdown_when_disabled () =
             (Server.stop_requested server)
       | _ -> Alcotest.fail "disabled shutdown was honoured")
 
+(* The member names of the stats table in docs/SERVING.md: the first
+   cell of each row of the first table after the "`stats` replies
+   carry" paragraph. *)
+let documented_stats_members () =
+  let ic = open_in "../docs/SERVING.md" in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+    |> String.split_on_char '\n'
+  in
+  let starts_with prefix l = String.starts_with ~prefix l in
+  let rec skip_to_para = function
+    | [] -> Alcotest.fail "docs/SERVING.md: stats paragraph not found"
+    | l :: rest when starts_with "`stats` replies carry" l -> rest
+    | _ :: rest -> skip_to_para rest
+  in
+  let rec skip_to_table = function
+    | [] -> Alcotest.fail "docs/SERVING.md: stats table not found"
+    | l :: _ as rows when starts_with "|" l -> rows
+    | _ :: rest -> skip_to_table rest
+  in
+  let rec rows acc = function
+    | l :: rest when starts_with "| `" l ->
+        let name = List.nth (String.split_on_char '`' l) 1 in
+        rows (name :: acc) rest
+    | l :: rest when starts_with "|" l -> rows acc rest
+    | _ -> List.rev acc
+  in
+  rows [] (skip_to_table (skip_to_para lines))
+
+let test_server_stats_shape () =
+  let dir = temp_dir () in
+  let cfg =
+    { (Server.default_config ~socket_path:(Filename.concat dir "s.sock")) with
+      Server.jobs = 1;
+      cache_dir = Some (Filename.concat dir "cache") }
+  in
+  let server = Server.start cfg in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      match Server.dispatch server (Protocol.Stats Json.Null) with
+      | Protocol.Stats_reply { stats = Json.Obj fields; _ } ->
+          Alcotest.(check (list string)) "stats members as documented"
+            (documented_stats_members ())
+            (List.map fst fields)
+      | _ -> Alcotest.fail "stats op did not answer a stats object")
+
 let suite =
   [ ( "serve.protocol",
       [ case "error code names" test_error_code_names;
@@ -470,4 +519,5 @@ let suite =
         case "queued request times out" test_scheduler_timeout ] );
     ( "serve.server",
       [ case "socket round trip" test_server_socket_roundtrip;
-        case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled ] ) ]
+        case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled;
+        case "stats members match docs/SERVING.md" test_server_stats_shape ] ) ]
